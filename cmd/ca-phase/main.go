@@ -203,17 +203,18 @@ func run(ctx context.Context, n, r int, ruleSpec, spSpec, dot string, verbose, n
 			return err
 		}
 		fmt.Printf("\n== sequential phase space ==\n")
+		sc := s.TakeCensus()
 		stab := render.NewTable("quantity", "value")
-		witness, acyclic := s.Acyclic()
-		stab.AddRow("acyclic (no update sequence can cycle)", acyclic)
-		stab.AddRow("fixed points", len(s.FixedPoints()))
-		stab.AddRow("pseudo-fixed points", len(s.PseudoFixedPoints()))
-		stab.AddRow("unreachable states", len(s.Unreachable()))
-		stab.AddRow("temporal 2-cycles", len(s.TwoCycles()))
+		stab.AddRow("acyclic (no update sequence can cycle)", sc.Acyclic)
+		stab.AddRow("fixed points", sc.FixedPoints)
+		stab.AddRow("pseudo-fixed points", sc.PseudoFixed)
+		stab.AddRow("unreachable states", sc.Unreachable)
+		stab.AddRow("temporal 2-cycles", sc.TwoCycles)
 		if err := stab.Write(os.Stdout); err != nil {
 			return err
 		}
-		if verbose && !acyclic {
+		if verbose && !sc.Acyclic {
+			witness, _ := s.Acyclic()
 			parts := make([]string, len(witness))
 			for i, x := range witness {
 				parts[i] = config.FromIndex(x, sp.N()).String()

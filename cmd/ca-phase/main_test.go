@@ -6,6 +6,7 @@ import (
 	"io"
 	"os"
 	"repro/internal/phasespace"
+	"strings"
 	"testing"
 )
 
@@ -95,7 +96,7 @@ func TestRunSmokeCheckpointed(t *testing.T) {
 
 // captureRun runs the analysis with stdout redirected and returns the
 // printed report.
-func captureRun(t *testing.T, quotient bool, n int, rule string, workers int) string {
+func captureRun(t *testing.T, quotient bool, n int, rule, spSpec string, verbose bool, workers int) string {
 	t.Helper()
 	old := os.Stdout
 	r, w, err := os.Pipe()
@@ -103,7 +104,7 @@ func captureRun(t *testing.T, quotient bool, n int, rule string, workers int) st
 		t.Fatal(err)
 	}
 	os.Stdout = w
-	runErr := run(context.Background(), n, 1, rule, "ring", "", false, false, workers, "", false, "", false, quotient, phasespace.StrategyAuto, 0)
+	runErr := run(context.Background(), n, 1, rule, spSpec, "", verbose, false, workers, "", false, "", false, quotient, phasespace.StrategyAuto, 0)
 	w.Close()
 	os.Stdout = old
 	out, err := io.ReadAll(r)
@@ -122,8 +123,8 @@ func captureRun(t *testing.T, quotient bool, n int, rule string, workers int) st
 func TestQuotientOutputMatchesRaw(t *testing.T) {
 	for _, rule := range []string{"majority", "threshold:1", "eca:232"} {
 		for _, workers := range []int{1, 4} {
-			raw := captureRun(t, false, 12, rule, workers)
-			quot := captureRun(t, true, 12, rule, workers)
+			raw := captureRun(t, false, 12, rule, "ring", false, workers)
+			quot := captureRun(t, true, 12, rule, "ring", false, workers)
 			if raw != quot {
 				t.Errorf("rule %s workers=%d: -quotient output differs from raw:\n--- raw ---\n%s--- quotient ---\n%s", rule, workers, raw, quot)
 			}
@@ -143,5 +144,44 @@ func TestQuotientRunRejections(t *testing.T) {
 	}
 	if err := run(ctx, 10, 1, "majority", "ring", "parallel", false, false, 1, "", false, "", false, true, phasespace.StrategyAuto, 0); err == nil {
 		t.Fatal("-quotient accepted -dot export")
+	}
+}
+
+// TestSequentialSectionGolden pins the sequential table (and the -v witness
+// cycle of a cyclic space) byte for byte.
+func TestSequentialSectionGolden(t *testing.T) {
+	cases := []struct {
+		n          int
+		rule, sp   string
+		sequential string
+	}{
+		{8, "majority", "ring", `
+== sequential phase space ==
+quantity                                value
+--------------------------------------  -----
+acyclic (no update sequence can cycle)  true
+fixed points                            46
+pseudo-fixed points                     208
+unreachable states                      46
+temporal 2-cycles                       0
+`},
+		{2, "xor", "complete", `
+== sequential phase space ==
+quantity                                value
+--------------------------------------  -----
+acyclic (no update sequence can cycle)  false
+fixed points                            1
+pseudo-fixed points                     2
+unreachable states                      1
+temporal 2-cycles                       2
+witness cycle: 11 -> 01
+`},
+	}
+	for _, c := range cases {
+		out := captureRun(t, false, c.n, c.rule, c.sp, true, 1)
+		i := strings.Index(out, "\n== sequential phase space ==")
+		if i < 0 || out[i:] != c.sequential {
+			t.Errorf("%s on %s n=%d: sequential section\n%s\nwant\n%s", c.rule, c.sp, c.n, out[max(i, 0):], c.sequential)
+		}
 	}
 }

@@ -3,7 +3,7 @@
 //
 // A configuration is a thin wrapper around a bitvec.Vector that adds CA
 // vocabulary (density, quiescence, alternation) and the index bijection used
-// by the phase-space enumerator: for n ≤ 63 nodes, every configuration has a
+// by the phase-space enumerator: for n ≤ 64 nodes, every configuration has a
 // canonical uint64 index (bit i = state of node i), so that entire
 // configuration spaces can be stored in dense arrays.
 package config
@@ -45,11 +45,11 @@ func MustParse(s string) Config {
 	return c
 }
 
-// FromIndex returns the configuration on n ≤ 63 nodes whose node i holds bit
+// FromIndex returns the configuration on n ≤ 64 nodes whose node i holds bit
 // i of idx. It is the inverse of Index.
 func FromIndex(idx uint64, n int) Config {
-	if n > 63 {
-		panic(fmt.Sprintf("config: FromIndex needs n ≤ 63, got %d", n))
+	if n > 64 {
+		panic(fmt.Sprintf("config: FromIndex needs n ≤ 64, got %d", n))
 	}
 	return Config{v: bitvec.FromUint(idx, n)}
 }
@@ -130,7 +130,7 @@ func (c Config) CopyFrom(src Config) { c.v.CopyFrom(src.v) }
 // Equal reports whether two configurations agree on every node.
 func (c Config) Equal(o Config) bool { return c.v.Equal(o.v) }
 
-// Index returns the canonical uint64 index of c (n ≤ 63 nodes).
+// Index returns the canonical uint64 index of c (n ≤ 64 nodes).
 func (c Config) Index() uint64 { return c.v.Uint() }
 
 // Ones returns the number of nodes in state 1.

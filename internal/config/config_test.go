@@ -1,6 +1,7 @@
 package config
 
 import (
+	"math/bits"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -51,13 +52,23 @@ func TestIndexRoundTrip(t *testing.T) {
 	}
 }
 
+// TestIndexRoundTrip64 covers the full-width index: all 64 bits survive.
+func TestIndexRoundTrip64(t *testing.T) {
+	for _, idx := range []uint64{0, 1, 1 << 63, 0xDEADBEEFCAFEF00D, ^uint64(0)} {
+		c := FromIndex(idx, 64)
+		if c.Index() != idx || c.Ones() != bits.OnesCount64(idx) {
+			t.Errorf("n=64 idx=%#x round trip gave %#x (%d ones)", idx, c.Index(), c.Ones())
+		}
+	}
+}
+
 func TestFromIndexTooWidePanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Fatal("FromIndex(·,64) did not panic")
+			t.Fatal("FromIndex(·,65) did not panic")
 		}
 	}()
-	FromIndex(0, 64)
+	FromIndex(0, 65)
 }
 
 func TestAlternating(t *testing.T) {

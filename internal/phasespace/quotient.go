@@ -473,7 +473,8 @@ func (q *QuotientSequential) TakeCensus() SequentialCensus {
 	for _, r := range v.ProperCycleStates() {
 		c.CycleStates += uint64(q.orbit[r])
 	}
-	_, c.Acyclic = v.Acyclic()
+	// A changing-transition cycle exists iff a non-trivial SCC does.
+	c.Acyclic = c.CycleStates == 0
 	reach := v.CanReachFixedPoint()
 	for r, ok := range reach {
 		if ok {

@@ -7,9 +7,11 @@ import (
 // MaxSequentialNodes bounds full sequential phase-space enumeration. The
 // streaming (flip-bitset) representation stores one bit per (state, node)
 // pair instead of the dense table's 4 bytes — at the cap that is
-// 24 × 2^24 bits = 48 MiB against a 1.5 GiB dense table — so the cap is
-// set by classification working memory (~10 bytes per state), not by the
-// transition relation.
+// 24 × 2^24 bits = 48 MiB against a 1.5 GiB dense table. The census adds
+// two bits per state (the trim and reach bitsets) to the flips; Tarjan's
+// ~13 bytes per state are paid only for the states the trim leaves, none
+// in an acyclic space. The per-state queries (Acyclic's witness search,
+// the state lists) still take 1–9 bytes per state.
 const MaxSequentialNodes = 24
 
 // Sequential is the complete nondeterministic phase space of a sequential
@@ -175,28 +177,38 @@ func (s *Sequential) Acyclic() (witness []uint64, ok bool) {
 }
 
 // ProperCycleStates returns every configuration that lies on some proper
-// sequential cycle (a cycle of changing transitions). It computes strongly
-// connected components of the changing-transition digraph with Tarjan's
-// algorithm (iterative); states in SCCs of size ≥ 2 lie on cycles.
-// (A single state cannot form a proper cycle because self-loops are
-// excluded.)
+// sequential cycle (a cycle of changing transitions): the states in
+// strongly connected components of size ≥ 2 of the changing-transition
+// digraph. (A single state cannot form a proper cycle because self-loops
+// are excluded.)
 func (s *Sequential) ProperCycleStates() []uint64 {
-	total := s.Size()
-	index := make([]int32, total)
-	low := make([]int32, total)
-	onStack := make([]bool, total)
+	var out []uint64
+	tarjanCycles(s.Size(), s.n, func(x uint64, i int) (uint64, bool) {
+		y := s.Successor(x, i)
+		return y, y != x
+	}, func(x uint32) { out = append(out, uint64(x)) })
+	return out
+}
+
+// tarjanCycles runs Tarjan's algorithm (iterative) over a digraph on the
+// vertices [0, m): edge(v, i) for i < deg returns the target of v's i-th
+// out-edge, or false when there is none. emit receives every vertex of
+// every strongly connected component of size ≥ 2.
+func tarjanCycles(m uint64, deg int, edge func(v uint64, i int) (uint64, bool), emit func(v uint32)) {
+	index := make([]int32, m)
+	low := make([]int32, m)
+	onStack := make([]bool, m)
 	for i := range index {
 		index[i] = -1
 	}
 	var sccStack []uint32
-	var out []uint64
 	next := int32(0)
 	type frame struct {
 		x    uint32
 		edge int
 	}
 	var stack []frame
-	for start := uint64(0); start < total; start++ {
+	for start := uint64(0); start < m; start++ {
 		if index[start] != -1 {
 			continue
 		}
@@ -208,13 +220,14 @@ func (s *Sequential) ProperCycleStates() []uint64 {
 		onStack[start] = true
 		for len(stack) > 0 {
 			f := &stack[len(stack)-1]
-			if f.edge < s.n {
+			if f.edge < deg {
 				i := f.edge
 				f.edge++
-				y := uint32(s.Successor(uint64(f.x), i))
-				if y == f.x {
+				w, ok := edge(uint64(f.x), i)
+				if !ok {
 					continue
 				}
+				y := uint32(w)
 				if index[y] == -1 {
 					index[y] = next
 					low[y] = next
@@ -237,25 +250,20 @@ func (s *Sequential) ProperCycleStates() []uint64 {
 				}
 			}
 			if low[x] == index[x] {
-				var scc []uint32
-				for {
-					y := sccStack[len(sccStack)-1]
-					sccStack = sccStack[:len(sccStack)-1]
-					onStack[y] = false
-					scc = append(scc, y)
-					if y == x {
-						break
+				top := len(sccStack) - 1
+				for sccStack[top] != x {
+					top--
+				}
+				for j := len(sccStack) - 1; j >= top; j-- {
+					onStack[sccStack[j]] = false
+					if len(sccStack)-top >= 2 {
+						emit(sccStack[j])
 					}
 				}
-				if len(scc) >= 2 {
-					for _, y := range scc {
-						out = append(out, uint64(y))
-					}
-				}
+				sccStack = sccStack[:top]
 			}
 		}
 	}
-	return out
 }
 
 // ReachableFrom returns a bitmap over configuration indices marking every

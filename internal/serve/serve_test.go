@@ -15,7 +15,11 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/automaton"
+	"repro/internal/config"
 	"repro/internal/faultinject"
+	"repro/internal/rule"
+	"repro/internal/space"
 )
 
 // The invariants under test (run these with -race): a thundering herd on
@@ -428,6 +432,25 @@ func TestEnginesAgreeAndVerifyClaimsHold(t *testing.T) {
 	for _, c := range decode(t, body).Claims {
 		if c.Holds == nil || !*c.Holds {
 			t.Fatalf("sequential claim %q does not hold: %s", c.Name, body)
+		}
+	}
+}
+
+// TestOrbitAtSixtyFourNodes: the orbit cap admits n = 64, and a 64-node
+// orbit answers 200 with the trace automaton.Converge computes.
+func TestOrbitAtSixtyFourNodes(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	for _, x0 := range []uint64{0xF0F0F0F00FF00FF1, 0xAAAAAAAAAAAAAAAA, ^uint64(0)} {
+		code, body, _ := get(t, fmt.Sprintf("%s/v1/orbit?n=64&rule=threshold:2&r=2&x0=%d", ts.URL, x0))
+		if code != http.StatusOK {
+			t.Fatalf("x0=%#x: %d %s", x0, code, body)
+		}
+		got := decode(t, body).Orbit
+		a := automaton.MustNew(space.Ring(64, 2), rule.Threshold{K: 2})
+		want := a.Converge(config.FromIndex(x0, 64), 1<<20)
+		if got == nil || got.X0 != x0 || got.Outcome != want.Outcome.String() || got.Transient != want.Transient ||
+			got.Period != want.Period || got.FinalIndex != want.Final.Index() || got.Final != want.Final.String() {
+			t.Errorf("x0=%#x: orbit %+v, Converge %+v", x0, got, want)
 		}
 	}
 }
